@@ -313,7 +313,7 @@ func runSelftest(s *server.Server, cfg selftestConfig) error {
 		s.Close()
 		return err
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := s.HTTPServer("")
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 

@@ -134,6 +134,31 @@ func (t *tenant) poison() {
 			want: regexp.MustCompile(`write to memory reachable from a stream\.Snapshot in poison`),
 		},
 		{
+			name:     "snapshotimmut/value-copy-shared-field",
+			analyzer: AnalyzerSnapshotImmut,
+			subdirs:  []string{"snapshotimmutclean"},
+			pkg:      "lintfix/snapshotimmutclean/server",
+			file:     "snapshotimmutclean/server/ok.go",
+			code: `
+func (t *tenant) poisonCopy() {
+	rs, _ := t.mgr.Snapshot().Request("a")
+	rs.Strategies[0] = 1
+}
+`,
+			want: regexp.MustCompile(`write to memory reachable from a stream\.Snapshot in poisonCopy`),
+		},
+		{
+			name:     "snapshotimmut/shared-state-in-place",
+			analyzer: AnalyzerSnapshotImmut,
+			subdirs:  []string{"snapshotimmutclean"},
+			pkg:      "lintfix/snapshotimmutclean/stream",
+			file:     "snapshotimmutclean/stream/stream.go",
+			code: `
+func (m *Manager) flipInPlace(i int) { m.states[i].Serving = !m.states[i].Serving }
+`,
+			want: regexp.MustCompile(`write to memory reachable from a stream\.Snapshot in flipInPlace`),
+		},
+		{
 			name:     "walexhaustive/dropped-arm",
 			analyzer: AnalyzerWALExhaustive,
 			subdirs:  []string{"walexhaustiveclean"},

@@ -13,21 +13,29 @@ var AnalyzerSnapshotImmut = &Analyzer{
 
 The event loop publishes *stream.Snapshot through an atomic pointer and
 readers dereference it lock-free, with no happens-before edge beyond
-the publish. The only thing that makes that sound is that nobody writes
-snapshot memory after construction — a contract the race detector can
-only catch if a chaos run happens to interleave the write with a read.
+the publish. Snapshots also share memory with each other and with the
+manager: a *stream.RequestState and the nodes of the ID index stay
+shared until their request changes. The only thing that makes that
+sound is that nobody writes snapshot memory once it is built — a
+contract the race detector can only catch if a chaos run happens to
+interleave the write with a read.
 
-This analyzer proves it at vet time, in the stream and server packages:
-any field store, slice/map element write, or increment whose base chain
-reaches a Snapshot — the snapshot itself, a field of it, or a local
-alias carrying a reference (slice, map, pointer) derived from one — is
-a diagnostic. Writes laundered through helpers are caught by a
+This analyzer proves it at vet time, in the stream and server packages.
+Snapshot memory is a Snapshot, an ID-index node, and a RequestState
+behind a pointer. Any field store, element write, increment, or
+copy/append/clear/delete whose base chain reaches snapshot memory — the
+value itself, a field of it, or a local alias carrying a reference
+(slice, map, pointer) derived from one — is a diagnostic. A struct
+value copied out of snapshot memory (a RequestState returned by
+Snapshot.Request, a Plan) is the caller's, but its reference fields
+still point into shared memory: a write that goes through one of them
+is a diagnostic too. Writes laundered through helpers are caught by a
 parameter-mutation fact: passing snapshot-reachable memory to a
 function that writes through that parameter (at any helper depth)
-flags the call. The one sanctioned writer is the constructor,
-(*stream.Manager).Snapshot, where the copies are made. Rebinding a
-variable (snap = other) and mutating a struct *value* copied out of a
-snapshot stay legal; so does building a fresh &Snapshot{...} literal.`,
+flags the call. There is no sanctioned writer: the manager builds
+snapshot memory only as fresh values (composite literals, or a value
+copy whose own fields it sets) and never writes it once reachable.
+Rebinding a variable or field (snap = other) stays legal.`,
 	Run: runSnapshotImmut,
 }
 
@@ -38,132 +46,259 @@ func runSnapshotImmut(pass *Pass) error {
 	g := buildCallGraph(pass)
 	mut := computeParamMutators(pass, g)
 	for _, n := range g.nodes {
-		if isSnapshotConstructor(n.fn) {
-			continue
-		}
 		checkSnapshotImmut(pass, g, n, mut)
 	}
 	return nil
 }
 
-// isSnapshotConstructor matches the allowlisted construction site:
-// (*stream.Manager).Snapshot, the single writer that assembles the
-// copies before the pointer is published.
-func isSnapshotConstructor(fn *types.Func) bool {
-	return methodOn(fn, "Snapshot", "Manager", "stream")
-}
+// snapshotTypes names the stream types that are snapshot memory. A true
+// entry counts only behind a pointer: a RequestState value is a copy,
+// and only its reference fields stay shared (see snapshotValueType).
+var snapshotTypes = map[string]bool{"Snapshot": false, "trieNode": false, "RequestState": true}
 
-// isSnapshotType reports whether t is stream.Snapshot or a pointer to
-// it (matching by name and package base so the testdata mimics behave
-// like the real package).
-func isSnapshotType(t types.Type) bool {
+// streamNamed returns the name of t's named type when it is declared in
+// a package whose base is stream (so the testdata mimics behave like the
+// real package), and whether t was a pointer to it.
+func streamNamed(t types.Type) (name string, ptr bool) {
 	if t == nil {
-		return false
+		return "", false
 	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
+	if p, ok := t.(*types.Pointer); ok {
+		t, ptr = p.Elem(), true
 	}
 	named, ok := t.(*types.Named)
 	if !ok {
-		return false
+		return "", false
 	}
 	obj := named.Obj()
-	return obj.Name() == "Snapshot" && obj.Pkg() != nil && pathBase(obj.Pkg().Path()) == "stream"
+	if obj.Pkg() == nil || pathBase(obj.Pkg().Path()) != "stream" {
+		return "", false
+	}
+	return obj.Name(), ptr
 }
 
+// isSnapshotType reports whether a value of type t is snapshot memory.
+func isSnapshotType(t types.Type) bool {
+	name, ptr := streamNamed(t)
+	onlyPtr, ok := snapshotTypes[name]
+	return ok && (ptr || !onlyPtr)
+}
+
+// snapshotValueType reports whether t is a stream.RequestState value:
+// wherever it came from, its reference fields are snapshot memory.
+func snapshotValueType(t types.Type) bool {
+	name, ptr := streamNamed(t)
+	return !ptr && snapshotTypes[name]
+}
+
+// taintKind records how a local variable relates to snapshot memory.
+type taintKind int
+
+const (
+	// taintRef: the variable holds a reference into snapshot memory;
+	// any write through it is a write into the snapshot.
+	taintRef taintKind = iota + 1
+	// taintVal: the variable is a struct value copied out of snapshot
+	// memory; only writes that go through one of its reference fields
+	// reach the snapshot.
+	taintVal
+)
+
 func checkSnapshotImmut(pass *Pass, g *callGraph, n *cgNode, mut map[*cgNode]map[int]bool) {
-	taint := make(map[types.Object]bool)
+	taint := make(map[types.Object]taintKind)
+	report := func(e ast.Expr) {
+		pass.Reportf(e.Pos(),
+			"write to memory reachable from a stream.Snapshot in %s: published snapshots share memory, are read lock-free and must never be mutated (build a replacement instead)",
+			n.decl.Name.Name)
+	}
 	ast.Inspect(n.decl.Body, func(node ast.Node) bool {
 		switch x := node.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range x.Lhs {
 				if snapReachable(pass, taint, lhs, true) {
-					pass.Reportf(lhs.Pos(),
-						"write to memory reachable from a stream.Snapshot in %s: published snapshots are read lock-free and must never be mutated (only (*stream.Manager).Snapshot constructs them)",
-						n.decl.Name.Name)
+					report(lhs)
 				}
 			}
 			updateTaint(pass, taint, x)
+		case *ast.RangeStmt:
+			rangeTaint(pass, taint, x)
 		case *ast.IncDecStmt:
 			if snapReachable(pass, taint, x.X, true) {
-				pass.Reportf(x.X.Pos(),
-					"write to memory reachable from a stream.Snapshot in %s: published snapshots are read lock-free and must never be mutated (only (*stream.Manager).Snapshot constructs them)",
-					n.decl.Name.Name)
+				report(x.X)
 			}
 		case *ast.CallExpr:
+			if dst := builtinWriteTarget(pass, x); dst != nil && snapReachable(pass, taint, dst, false) {
+				report(dst)
+			}
 			checkSnapshotEscape(pass, g, n, taint, x, mut)
 		}
 		return true
 	})
 }
 
-// updateTaint tracks local aliases: a variable assigned a reference
-// (slice, map, pointer) derived from snapshot memory inherits the
-// taint; reassigning it to something else clears it. Struct value
-// copies (rs := snap.Requests[i]) carry no taint — the copy is the
-// caller's to mutate.
-func updateTaint(pass *Pass, taint map[types.Object]bool, as *ast.AssignStmt) {
+// builtinWriteTarget returns the operand a builtin call writes into:
+// copy's destination, clear's and delete's operand, and append's slice
+// (whose spare capacity append fills in place).
+func builtinWriteTarget(pass *Pass, call *ast.CallExpr) ast.Expr {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || len(call.Args) == 0 {
+		return nil
+	}
+	if _, ok := pass.Info.Uses[id].(*types.Builtin); !ok {
+		return nil
+	}
+	switch id.Name {
+	case "copy", "clear", "delete", "append":
+		return call.Args[0]
+	}
+	return nil
+}
+
+// updateTaint tracks local aliases. A variable assigned a reference
+// (slice, map, pointer) derived from snapshot memory is taintRef; one
+// assigned a struct value copied out of snapshot memory whose type
+// carries references is taintVal; reassigning it to anything else
+// clears it. A multi-value call on snapshot memory (rs, ok :=
+// snap.Request(id)) taints each result by its type.
+func updateTaint(pass *Pass, taint map[types.Object]taintKind, as *ast.AssignStmt) {
 	if len(as.Lhs) != len(as.Rhs) {
+		if len(as.Rhs) != 1 {
+			return
+		}
+		rhs := ast.Unparen(as.Rhs[0])
+		tuple, isTuple := pass.Info.TypeOf(rhs).(*types.Tuple)
+		derived := snapReachable(pass, taint, rhs, false)
+		for i, lhs := range as.Lhs {
+			var t types.Type
+			switch {
+			case isTuple && i < tuple.Len():
+				t = tuple.At(i).Type()
+			case i == 0:
+				t = pass.Info.TypeOf(rhs) // v, ok := m[k] / x.(T) / <-ch
+			}
+			setTaint(pass, taint, lhs, kindOf(t, derived))
+		}
 		return
 	}
 	for i, lhs := range as.Lhs {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		obj := pass.Info.Defs[id]
-		if obj == nil {
-			obj = pass.Info.Uses[id]
-		}
-		if obj == nil {
-			continue
-		}
-		if derivesSnapshotRef(pass, taint, as.Rhs[i]) {
-			taint[obj] = true
-		} else {
-			delete(taint, obj)
-		}
+		setTaint(pass, taint, lhs, derivedKind(pass, taint, as.Rhs[i]))
 	}
 }
 
-// derivesSnapshotRef reports whether rhs evaluates to a reference into
-// snapshot memory: a chain touching a Snapshot (or tainted alias) whose
-// own type is a pointer, slice, or map — or the address of such a chain.
-func derivesSnapshotRef(pass *Pass, taint map[types.Object]bool, rhs ast.Expr) bool {
+// rangeTaint taints the value variable of a range over snapshot memory
+// by the element type.
+func rangeTaint(pass *Pass, taint map[types.Object]taintKind, rs *ast.RangeStmt) {
+	if rs.Value == nil || !snapReachable(pass, taint, rs.X, false) {
+		return
+	}
+	setTaint(pass, taint, rs.Value, kindOf(pass.Info.TypeOf(rs.Value), true))
+}
+
+func setTaint(pass *Pass, taint map[types.Object]taintKind, lhs ast.Expr, k taintKind) {
+	id, ok := ast.Unparen(lhs).(*ast.Ident)
+	if !ok || id.Name == "_" {
+		return
+	}
+	obj := pass.Info.Defs[id]
+	if obj == nil {
+		obj = pass.Info.Uses[id]
+	}
+	if obj == nil {
+		return
+	}
+	if k == 0 {
+		delete(taint, obj)
+	} else {
+		taint[obj] = k
+	}
+}
+
+// derivedKind classifies what rhs hands its variable: a reference into
+// snapshot memory (or the address of snapshot memory), a struct copy of
+// snapshot memory that carries references, or neither.
+func derivedKind(pass *Pass, taint map[types.Object]taintKind, rhs ast.Expr) taintKind {
 	e := ast.Unparen(rhs)
 	if u, ok := e.(*ast.UnaryExpr); ok && u.Op.String() == "&" {
-		return snapReachable(pass, taint, u.X, false)
+		// The address of snapshot memory, not of a local value copy.
+		x := ast.Unparen(u.X)
+		if id, ok := x.(*ast.Ident); ok {
+			if obj := pass.Info.Uses[id]; obj != nil && taint[obj] == taintRef {
+				return taintRef
+			}
+		}
+		if snapReachable(pass, taint, x, true) {
+			return taintRef
+		}
+		return 0
 	}
-	if !snapReachable(pass, taint, e, false) {
+	return kindOf(pass.Info.TypeOf(e), snapReachable(pass, taint, e, false))
+}
+
+// kindOf is the taint a value of type t derived (or not) from snapshot
+// memory carries.
+func kindOf(t types.Type, derived bool) taintKind {
+	if !derived || t == nil {
+		return 0
+	}
+	switch t.Underlying().(type) {
+	case *types.Pointer, *types.Slice, *types.Map:
+		return taintRef
+	}
+	if hasRefs(t, 0) {
+		return taintVal
+	}
+	return 0
+}
+
+// hasRefs reports whether a value of type t holds a pointer, slice or
+// map, directly or in a nested struct or array field.
+func hasRefs(t types.Type, depth int) bool {
+	if depth > 8 {
 		return false
 	}
-	tv, ok := pass.Info.Types[e]
-	if !ok {
-		return false
-	}
-	switch tv.Type.Underlying().(type) {
+	switch u := t.Underlying().(type) {
 	case *types.Pointer, *types.Slice, *types.Map:
 		return true
+	case *types.Array:
+		return hasRefs(u.Elem(), depth+1)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if hasRefs(u.Field(i).Type(), depth+1) {
+				return true
+			}
+		}
 	}
 	return false
 }
 
-// snapReachable walks expr's selector/index/deref chain toward its
-// root, reporting whether it reaches snapshot memory. With write=true
-// at least one step is required (rebinding the variable itself is not a
-// write into the snapshot); with write=false the expression itself
-// counts too.
-func snapReachable(pass *Pass, taint map[types.Object]bool, expr ast.Expr, write bool) bool {
+// snapReachable walks expr's selector/index/deref chain (and the
+// receivers of method calls on it) toward its root, reporting whether
+// it reaches snapshot memory. With write=true at least one step is
+// required (rebinding the variable itself is not a write into the
+// snapshot), and a struct value copied out of snapshot memory counts
+// only when the chain above it went through a pointer, slice or map —
+// that is, through one of its shared reference fields. With
+// write=false the expression itself counts too.
+func snapReachable(pass *Pass, taint map[types.Object]taintKind, expr ast.Expr, write bool) bool {
 	e := ast.Unparen(expr)
+	indirect := false
 	for peels := 0; ; peels++ {
 		if peels > 0 || !write {
-			if tv, ok := pass.Info.Types[e]; ok && isSnapshotType(tv.Type) {
+			t := pass.Info.TypeOf(e)
+			if isSnapshotType(t) {
 				return true
 			}
+			var k taintKind
 			if id, ok := e.(*ast.Ident); ok {
-				if obj := pass.Info.Uses[id]; obj != nil && taint[obj] {
-					return true
+				if obj := pass.Info.Uses[id]; obj != nil {
+					k = taint[obj]
 				}
+			}
+			if k == taintRef {
+				return true
+			}
+			if (k == taintVal || snapshotValueType(t)) && (indirect || !write) {
+				return true
 			}
 		}
 		switch x := e.(type) {
@@ -174,11 +309,36 @@ func snapReachable(pass *Pass, taint map[types.Object]bool, expr ast.Expr, write
 					return false
 				}
 			}
+			if sel := pass.Info.Selections[x]; sel != nil && sel.Indirect() {
+				indirect = true
+			}
 			e = ast.Unparen(x.X)
 		case *ast.IndexExpr:
+			if t := pass.Info.TypeOf(x.X); t != nil {
+				switch t.Underlying().(type) {
+				case *types.Pointer, *types.Slice, *types.Map:
+					indirect = true
+				}
+			}
+			e = ast.Unparen(x.X)
+		case *ast.SliceExpr:
+			// A reslice aliases the same backing array.
+			if t := pass.Info.TypeOf(x.X); t != nil {
+				if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
+					indirect = true
+				}
+			}
 			e = ast.Unparen(x.X)
 		case *ast.StarExpr:
+			indirect = true
 			e = ast.Unparen(x.X)
+		case *ast.CallExpr:
+			// A method's result is derived from its receiver.
+			sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr)
+			if !ok || pass.Info.Selections[sel] == nil || pass.Info.Selections[sel].Kind() != types.MethodVal {
+				return false
+			}
+			e = ast.Unparen(sel.X)
 		default:
 			return false
 		}
@@ -321,9 +481,9 @@ func callArgs(pass *Pass, callee *cgNode, call *ast.CallExpr) map[int]ast.Expr {
 
 // checkSnapshotEscape flags a call that hands snapshot-reachable memory
 // to a function that writes through the receiving parameter.
-func checkSnapshotEscape(pass *Pass, g *callGraph, n *cgNode, taint map[types.Object]bool, call *ast.CallExpr, mut map[*cgNode]map[int]bool) {
+func checkSnapshotEscape(pass *Pass, g *callGraph, n *cgNode, taint map[types.Object]taintKind, call *ast.CallExpr, mut map[*cgNode]map[int]bool) {
 	callee := g.node(calleeOf(pass.Info, call))
-	if callee == nil || callee == n || isSnapshotConstructor(callee.fn) {
+	if callee == nil || callee == n {
 		return
 	}
 	for slot, arg := range callArgs(pass, callee, call) {

@@ -341,11 +341,38 @@ func (s *Server) Close() {
 	})
 }
 
+// Connection limits of every HTTP server built by HTTPServer, against
+// slow or hostile clients.
+const (
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers: a slowloris client that trickles header bytes to
+	// hold a connection open is cut off once it passes.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections that wait this long for
+	// their next request.
+	idleTimeout = 2 * time.Minute
+	// maxHeaderBytes caps the request header size (431 beyond it).
+	maxHeaderBytes = 64 << 10
+)
+
+// HTTPServer returns an http.Server for the API on addr with the
+// connection limits above. ListenAndServe and the serve command's
+// selftest both build their listener here.
+func (s *Server) HTTPServer(addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // ListenAndServe runs the server on addr until ctx is cancelled, then
 // shuts down gracefully: in-flight HTTP requests get drainTimeout to
 // finish before the tenant loops stop.
 func (s *Server) ListenAndServe(ctx context.Context, addr string, drainTimeout time.Duration) error {
-	hs := &http.Server{Addr: addr, Handler: s.Handler()}
+	hs := s.HTTPServer(addr)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	select {

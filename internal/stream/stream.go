@@ -14,6 +14,14 @@
 // miss a pool change. Callers that queue events can wrap them in
 // Begin/Commit so the planner repairs once per batch instead of per
 // event.
+//
+// Publishing a Snapshot shares memory instead of copying it. Each open
+// request's RequestState is built once and replaced, never written, when
+// the request changes; a persistent hash trie indexes the states by ID,
+// so a change copies only its path. Publish is then one map-free pass
+// over the admission order that builds the flat plan lists. Snapshots are
+// immutable once built; the snapshotimmut analyzer (internal/lint) keeps
+// every writer off memory a snapshot can reach.
 package stream
 
 import (
@@ -51,20 +59,15 @@ func (e Event) String() string {
 	return fmt.Sprintf("Event(%d)", int(e))
 }
 
-// Entry is one open request with its cached workforce requirement.
-type Entry struct {
-	ID      string
-	Request strategy.Request
-	Req     workforce.Requirement
-	// Seq is the manager's monotonic submission counter value assigned at
-	// admission — the reqIdx handed to the workforce.ModelProvider. It is
-	// unique across the manager's lifetime (never reused after a
-	// revocation, unlike a pool position) and preserved across crash
-	// recovery, so a provider with per-request rows never aliases two
-	// distinct live requests.
-	Seq uint64
-	// Serving reports whether the current plan serves this request.
-	Serving bool
+// slot is one position of the manager's admission order. The fields the
+// plan pass reads sit inline, so the pass touches state only to share its
+// pointer.
+type slot struct {
+	state     *RequestState // nil: a revoked tombstone
+	id        string
+	value     float64 // the request's objective contribution when served
+	workforce float64
+	serving   bool
 }
 
 // Manager maintains a deployment plan over a changing request pool. It
@@ -78,24 +81,27 @@ type Manager struct {
 	objective  batch.Objective
 	adparIdx   *adpar.Index
 
-	w       float64
-	entries map[string]*Entry
-	// order is the admission order, for deterministic iteration. Revoked
-	// slots become "" tombstones (compacted once they dominate) so a
-	// revoke never splices the slice; pos maps an open ID to its slot.
-	order   []string
+	w float64
+	// slots is the admission order, for deterministic iteration. Revoked
+	// slots become tombstones (compacted once they dominate) so a revoke
+	// never splices the slice; pos maps an open ID to its slot.
+	slots   []slot
 	pos     map[string]int
-	dead    int    // tombstone count in order
-	nextSeq uint64 // monotonic submission counter (Entry.Seq source)
+	dead    int    // tombstone count in slots
+	serving int    // serving count among open slots
+	nextSeq uint64 // monotonic submission counter (RequestState.Seq source)
 	epoch   uint64
+	// index is the persistent ID index every snapshot shares: a change
+	// copies only the trie path to the changed request.
+	index *trieNode
 
 	// planner maintains the density-ordered feasible pool and repairs the
-	// greedy plan incrementally; items are keyed by the entry's submission
-	// sequence number (unique for the manager's lifetime, so ties in the
-	// density order break deterministically by admission). bySeq maps a
-	// planner item index back to its entry for serving-flag sync.
+	// greedy plan incrementally; items are keyed by the request's
+	// submission sequence number (unique for the manager's lifetime, so
+	// ties in the density order break deterministically by admission).
+	// bySeq maps a planner item index back to its slot for serving sync.
 	planner *batch.Planner
-	bySeq   map[int]*Entry
+	bySeq   map[int]int
 	// batching defers the serving-flag sync (and the planner repair
 	// behind it) between Begin and Commit, so a drained batch of n events
 	// costs one repair.
@@ -145,10 +151,9 @@ func NewManager(set strategy.Set, models workforce.ModelProvider, mode workforce
 		mode:       mode,
 		objective:  objective,
 		w:          initialW,
-		entries:    map[string]*Entry{},
 		pos:        map[string]int{},
 		planner:    batch.NewPlanner(initialW),
-		bySeq:      map[int]*Entry{},
+		bySeq:      map[int]int{},
 	}, nil
 }
 
@@ -180,7 +185,7 @@ func (m *Manager) RestoreCounters(epoch, nextSub uint64) {
 func (m *Manager) Availability() float64 { return m.w }
 
 // Open returns the number of open (non-revoked) requests.
-func (m *Manager) Open() int { return len(m.entries) }
+func (m *Manager) Open() int { return len(m.pos) }
 
 // Submit admits a request, computes and caches its workforce requirement,
 // and replans. It returns whether the new plan serves the request (inside
@@ -216,7 +221,7 @@ func (m *Manager) admit(d strategy.Request, seq uint64) (bool, error) {
 	if err := d.Validate(); err != nil {
 		return false, err
 	}
-	if _, exists := m.entries[d.ID]; exists {
+	if _, exists := m.pos[d.ID]; exists {
 		return false, fmt.Errorf("%w: %s", ErrDuplicateID, d.ID)
 	}
 	if seq > uint64(math.MaxInt) {
@@ -227,13 +232,22 @@ func (m *Manager) admit(d strategy.Request, seq uint64) (bool, error) {
 	// which would alias per-request model rows between distinct live
 	// requests (and could index out of a FullModels matrix).
 	req := workforce.RequirementFor(d, seq, m.strategies, m.models, m.mode)
-	entry := &Entry{ID: d.ID, Request: d, Req: req, Seq: seq}
-	if req.Feasible() {
+	rs := &RequestState{
+		ID:         d.ID,
+		Request:    d,
+		Seq:        seq,
+		Feasible:   req.Feasible(),
+		Workforce:  req.Workforce,
+		Strategies: req.Strategies,
+	}
+	value := m.value(d)
+	i := len(m.slots)
+	if rs.Feasible {
 		// Infeasible requests can never be served at any availability and
 		// stay out of the planner pool entirely.
 		if err := m.planner.Insert(batch.Item{
 			Index:      int(seq),
-			Value:      m.value(entry),
+			Value:      value,
 			Workforce:  req.Workforce,
 			Strategies: req.Strategies,
 		}); err != nil {
@@ -241,11 +255,11 @@ func (m *Manager) admit(d strategy.Request, seq uint64) (bool, error) {
 			// number (a corrupt recovery input); the pool is unchanged.
 			return false, err
 		}
-		m.bySeq[int(seq)] = entry
+		m.bySeq[int(seq)] = i
 	}
-	m.entries[d.ID] = entry
-	m.pos[d.ID] = len(m.order)
-	m.order = append(m.order, d.ID)
+	m.pos[d.ID] = i
+	m.slots = append(m.slots, slot{state: rs, id: d.ID, value: value, workforce: req.Workforce})
+	m.index = m.index.with(rs)
 	if seq >= m.nextSeq {
 		m.nextSeq = seq + 1
 	}
@@ -253,29 +267,32 @@ func (m *Manager) admit(d strategy.Request, seq uint64) (bool, error) {
 	if !m.batching {
 		m.sync()
 	}
-	return entry.Serving, nil
+	return m.slots[i].serving, nil
 }
 
 // Revoke withdraws an open request and replans; freed workforce may admit
 // previously displaced requests. The pool bookkeeping is O(1) amortized:
 // the request's admission slot (found through the ID→position index)
-// becomes a tombstone, and the order slice compacts only once tombstones
+// becomes a tombstone, and the slot array compacts only once tombstones
 // outnumber live slots.
 func (m *Manager) Revoke(id string) error {
 	i, ok := m.pos[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownID, id)
 	}
-	e := m.entries[id]
-	delete(m.entries, id)
+	s := m.slots[i]
 	delete(m.pos, id)
-	m.order[i] = ""
+	m.slots[i] = slot{}
 	m.dead++
-	if e.Req.Feasible() {
-		m.planner.Remove(int(e.Seq))
-		delete(m.bySeq, int(e.Seq))
+	if s.serving {
+		m.serving--
 	}
-	if m.dead > 32 && m.dead*2 > len(m.order) {
+	if s.state.Feasible {
+		m.planner.Remove(int(s.state.Seq))
+		delete(m.bySeq, int(s.state.Seq))
+	}
+	m.index = m.index.without(id)
+	if m.dead > 32 && m.dead*2 > len(m.slots) {
 		m.compact()
 	}
 	m.epoch++
@@ -285,18 +302,22 @@ func (m *Manager) Revoke(id string) error {
 	return nil
 }
 
-// compact rebuilds the order slice without tombstones, preserving
-// admission order, and refreshes the position index.
+// compact rebuilds the slot array without tombstones, preserving
+// admission order, and refreshes both position indexes.
 func (m *Manager) compact() {
-	live := m.order[:0]
-	for _, id := range m.order {
-		if id == "" {
+	live := m.slots[:0]
+	for _, s := range m.slots {
+		if s.state == nil {
 			continue
 		}
-		m.pos[id] = len(live)
-		live = append(live, id)
+		m.pos[s.id] = len(live)
+		if s.state.Feasible {
+			m.bySeq[int(s.state.Seq)] = len(live)
+		}
+		live = append(live, s)
 	}
-	m.order = live
+	clear(m.slots[len(live):])
+	m.slots = live
 	m.dead = 0
 }
 
@@ -320,7 +341,7 @@ func (m *Manager) SetAvailability(w float64) error {
 // SetAvailability calls update the pool and advance the epoch but postpone
 // the planner repair and serving-flag sync until Commit, so a queued batch
 // of n events costs one plan repair instead of n. While a batch is open,
-// Submit's served return value and per-entry Serving flags reflect the
+// Submit's served return value and per-request Serving flags reflect the
 // last committed plan; read them after Commit. Begin/Commit do not nest.
 func (m *Manager) Begin() { m.batching = true }
 
@@ -332,12 +353,28 @@ func (m *Manager) Commit() {
 }
 
 // sync repairs the planner and folds the changed selection statuses back
-// into the entries' Serving flags. Only entries whose status actually
-// changed are touched.
+// into the pool. Only requests whose status actually flipped are touched:
+// each gets a replacement RequestState (the old one may be shared by
+// published snapshots) and a fresh path in the ID index.
 func (m *Manager) sync() {
 	for _, idx := range m.planner.Changed() {
-		if e, ok := m.bySeq[idx]; ok {
-			e.Serving = m.planner.IsSelected(idx)
+		i, ok := m.bySeq[idx]
+		if !ok {
+			continue
+		}
+		s := &m.slots[i]
+		serving := m.planner.IsSelected(idx)
+		if serving == s.serving {
+			continue
+		}
+		next := *s.state
+		next.Serving = serving
+		s.state, s.serving = &next, serving
+		m.index = m.index.with(&next)
+		if serving {
+			m.serving++
+		} else {
+			m.serving--
 		}
 	}
 }
@@ -346,21 +383,21 @@ func (m *Manager) sync() {
 // served=false, open=false for IDs not in the pool. Inside a Begin/Commit
 // batch the answer reflects the last committed plan.
 func (m *Manager) Served(id string) (served, open bool) {
-	e, ok := m.entries[id]
+	i, ok := m.pos[id]
 	if !ok {
 		return false, false
 	}
-	return e.Serving, true
+	return m.slots[i].serving, true
 }
 
 // SubmissionSeq returns the submission sequence number of an open request
 // (the reqIdx its requirement was computed under).
 func (m *Manager) SubmissionSeq(id string) (uint64, bool) {
-	e, ok := m.entries[id]
+	i, ok := m.pos[id]
 	if !ok {
 		return 0, false
 	}
-	return e.Seq, true
+	return m.slots[i].state.Seq, true
 }
 
 // Requirement returns the cached aggregated workforce requirement of an
@@ -369,11 +406,12 @@ func (m *Manager) SubmissionSeq(id string) (uint64, bool) {
 // models, mode), so a recovered replay that computes anything different
 // was run against the wrong tenant universe.
 func (m *Manager) Requirement(id string) (workforce.Requirement, bool) {
-	e, ok := m.entries[id]
+	i, ok := m.pos[id]
 	if !ok {
 		return workforce.Requirement{}, false
 	}
-	return e.Req, true
+	rs := m.slots[i].state
+	return workforce.Requirement{Workforce: rs.Workforce, Strategies: rs.Strategies}, true
 }
 
 // Plan is the current serving decision.
@@ -388,32 +426,50 @@ type Plan struct {
 	Workforce float64
 }
 
-// Plan returns a snapshot of the current plan.
+// Plan returns the current plan.
 func (m *Manager) Plan() Plan {
-	var p Plan
-	for _, id := range m.order {
-		if id == "" {
-			continue
-		}
-		e := m.entries[id]
-		if e.Serving {
-			p.Serving = append(p.Serving, id)
-			p.Workforce += e.Req.Workforce
-			p.Objective += m.value(e)
-		} else {
-			p.Displaced = append(p.Displaced, id)
-		}
-	}
+	p, _ := m.walk(nil)
 	return p
 }
 
-// RequestState is one open request's frozen state inside a Snapshot.
+// walk is the one pass over the admission order behind Plan and
+// Snapshot: it lists serving and displaced IDs, sums the plan in
+// admission order (so Objective is bit-identical to a naive replay's),
+// and appends every open request's shared state to reqs when reqs is
+// non-nil.
+func (m *Manager) walk(reqs []*RequestState) (Plan, []*RequestState) {
+	ids := make([]string, len(m.pos))
+	p := Plan{Serving: ids[:0:m.serving], Displaced: ids[m.serving:m.serving]}
+	for i := range m.slots {
+		s := &m.slots[i]
+		if s.state == nil {
+			continue
+		}
+		if reqs != nil {
+			reqs = append(reqs, s.state)
+		}
+		if s.serving {
+			p.Serving = append(p.Serving, s.id)
+			p.Workforce += s.workforce
+			p.Objective += s.value
+		} else {
+			p.Displaced = append(p.Displaced, s.id)
+		}
+	}
+	return p, reqs
+}
+
+// RequestState is one open request's state. The manager allocates it at
+// admission and never writes it again: a serving flip allocates a
+// replacement, so every snapshot between two changes of a request shares
+// one RequestState (Strategies included) with the others.
 type RequestState struct {
 	ID      string
 	Request strategy.Request
-	// Seq is the request's submission sequence number (Entry.Seq):
-	// checkpoints persist it so recovery can re-admit the request under
-	// its original model row.
+	// Seq is the request's submission sequence number, the reqIdx its
+	// requirement was computed under. It is never reused after a
+	// revocation, and checkpoints persist it so recovery can re-admit the
+	// request under its original model row.
 	Seq uint64
 	// Serving reports whether the snapshot's plan serves the request.
 	Serving bool
@@ -429,77 +485,64 @@ type RequestState struct {
 	Strategies []int
 }
 
-// Snapshot is a self-contained, immutable copy of the manager's state:
-// the plan, the availability, and every open request. A single-writer
-// event loop can publish one through an atomic pointer after each event so
-// that readers (plan queries, alternative serving) never touch the
-// manager. Everything reachable from a Snapshot is a copy; mutating the
-// manager afterwards does not affect it.
+// Snapshot is the manager's state at one epoch: the plan, the
+// availability, and every open request. A single-writer event loop can
+// publish one through an atomic pointer after each event so that readers
+// (plan queries, alternative serving) never touch the manager.
+//
+// A snapshot is immutable once built, and it shares memory with the
+// manager and with other snapshots: each RequestState and every node of
+// the ID index stays shared until its request changes, when the manager
+// builds a replacement instead of writing the shared one. Only the flat
+// lists (Plan.Serving, Plan.Displaced, Requests) are built per snapshot.
+// Nothing may write memory reachable from a snapshot; the snapshotimmut
+// analyzer in internal/lint enforces this at vet time.
 type Snapshot struct {
 	Epoch        uint64
 	Availability float64
 	Plan         Plan
 	// Requests lists every open request in admission order.
-	Requests []RequestState
+	Requests []*RequestState
 
-	byID map[string]int // index into Requests
+	index *trieNode
 }
 
-// Request returns the state of an open request by ID.
+// Request returns the state of an open request by ID. The value is a
+// copy, but its Strategies slice is shared snapshot memory.
 func (s *Snapshot) Request(id string) (RequestState, bool) {
 	if s == nil {
 		return RequestState{}, false
 	}
-	i, ok := s.byID[id]
-	if !ok {
+	rs := s.index.get(id)
+	if rs == nil {
 		return RequestState{}, false
 	}
-	return s.Requests[i], true
+	return *rs, true
 }
 
-// Snapshot freezes the manager's current state. Like every other method it
-// must be called from the manager's single writer; the returned value is
-// then safe to hand to any number of concurrent readers.
+// Snapshot publishes the manager's current state in one pass over the
+// admission order. Like every other method it must be called from the
+// manager's single writer; the returned value is then safe to hand to any
+// number of concurrent readers.
 func (m *Manager) Snapshot() *Snapshot {
-	s := &Snapshot{
+	p, reqs := m.walk(make([]*RequestState, 0, len(m.pos)))
+	return &Snapshot{
 		Epoch:        m.epoch,
 		Availability: m.w,
-		Plan:         m.Plan(),
-		Requests:     make([]RequestState, 0, len(m.order)),
-		byID:         make(map[string]int, len(m.order)),
+		Plan:         p,
+		Requests:     reqs,
+		index:        m.index,
 	}
-	for _, id := range m.order {
-		if id == "" {
-			continue
-		}
-		e := m.entries[id]
-		rs := RequestState{
-			ID:        id,
-			Request:   e.Request,
-			Seq:       e.Seq,
-			Serving:   e.Serving,
-			Feasible:  e.Req.Feasible(),
-			Workforce: e.Req.Workforce,
-		}
-		if len(e.Req.Strategies) > 0 {
-			rs.Strategies = append([]int(nil), e.Req.Strategies...)
-		}
-		s.byID[id] = len(s.Requests)
-		s.Requests = append(s.Requests, rs)
-	}
-	return s
 }
 
 // Strategies returns the k recommended strategies of a served request, or
 // nil if the request is not currently served.
 func (m *Manager) Strategies(id string) []int {
-	e, ok := m.entries[id]
-	if !ok || !e.Serving {
+	i, ok := m.pos[id]
+	if !ok || !m.slots[i].serving {
 		return nil
 	}
-	out := make([]int, len(e.Req.Strategies))
-	copy(out, e.Req.Strategies)
-	return out
+	return append([]int(nil), m.slots[i].state.Strategies...)
 }
 
 // ErrServed reports that an alternative was requested for a request the
@@ -513,18 +556,18 @@ var ErrServed = errors.New("stream: request is served; no alternative needed")
 // per-request cost is the sweep alone, with no per-event re-derivation of
 // the normalized problem.
 func (m *Manager) Alternative(id string) (adpar.Solution, error) {
-	e, ok := m.entries[id]
+	i, ok := m.pos[id]
 	if !ok {
 		return adpar.Solution{}, fmt.Errorf("%w: %s", ErrUnknownID, id)
 	}
-	if e.Serving {
+	if m.slots[i].serving {
 		return adpar.Solution{}, fmt.Errorf("%w: %s", ErrServed, id)
 	}
 	ix, err := m.Index()
 	if err != nil {
 		return adpar.Solution{}, err
 	}
-	return ix.Solve(e.Request)
+	return ix.Solve(m.slots[i].state.Request)
 }
 
 // Index returns the manager's shared ADPaR serving index, compiling it on
@@ -557,9 +600,9 @@ func (m *Manager) AttachIndex(ix *adpar.Index) error {
 	return nil
 }
 
-func (m *Manager) value(e *Entry) float64 {
+func (m *Manager) value(d strategy.Request) float64 {
 	if m.objective == batch.Payoff {
-		return e.Request.Cost
+		return d.Cost
 	}
 	return 1
 }
